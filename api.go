@@ -96,10 +96,60 @@ type PlanStats struct {
 	OnePassABytes, OnePassBBytes int64
 }
 
-// Plan is the output of PlanSpMSpM.
+// Plan is the output of PlanSpMSpM or PlanSpMM.
 type Plan struct {
 	Tasks []PlanTask
 	Stats PlanStats
+	// a and b record the operands the plan was built for. A plan covers
+	// only their extents and leaves out the tasks that were empty for
+	// them, so executing it on any other operands would silently drop
+	// points; Execute and ExecuteSpMM return an error instead.
+	a, b  operandShape
+	dense bool // planned by PlanSpMM: B is dense
+}
+
+// operandShape identifies a planned operand: its shape and, for a sparse
+// operand, a fingerprint of its sparsity pattern (values do not matter to
+// a plan).
+type operandShape struct {
+	rows, cols int
+	pattern    uint64
+}
+
+// sparseShape records a sparse operand's shape and pattern fingerprint
+// (FNV-1a over its row pointers and column coordinates).
+func sparseShape(m *Matrix) operandShape {
+	h := uint64(14695981039346656037)
+	for _, s := range [][]int{m.Ptr, m.Idx} {
+		for _, v := range s {
+			h = (h ^ uint64(v)) * 1099511628211
+		}
+	}
+	return operandShape{rows: m.Rows, cols: m.Cols, pattern: h}
+}
+
+// checkOperands returns an error unless a and b are the operands the plan
+// was built for.
+func (p *Plan) checkOperands(a operandShape, b operandShape, dense bool) error {
+	switch {
+	case dense != p.dense:
+		return fmt.Errorf("drt: plan was built for %s, executed as %s", planKind(p.dense), planKind(dense))
+	case a.rows != p.a.rows || a.cols != p.a.cols || b.rows != p.b.rows || b.cols != p.b.cols:
+		return fmt.Errorf("drt: plan was built for a %dx%d by %dx%d product, executed on %dx%d by %dx%d",
+			p.a.rows, p.a.cols, p.b.rows, p.b.cols, a.rows, a.cols, b.rows, b.cols)
+	case a.pattern != p.a.pattern:
+		return fmt.Errorf("drt: A's sparsity pattern differs from the one the plan was built for")
+	case b.pattern != p.b.pattern:
+		return fmt.Errorf("drt: B's sparsity pattern differs from the one the plan was built for")
+	}
+	return nil
+}
+
+func planKind(dense bool) string {
+	if dense {
+		return "SpMM (ExecuteSpMM)"
+	}
+	return "SpMSpM (Execute)"
 }
 
 // PlanSpMSpM tiles the multiplication A·B with dynamic reflexive tiling:
@@ -140,7 +190,7 @@ func PlanSpMSpM(a, b *Matrix, cfg PlanConfig) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{}
+	p := &Plan{a: sparseShape(a), b: sparseShape(b)}
 	p.Stats.OnePassABytes = ga.TotalFootprint()
 	p.Stats.OnePassBBytes = gb.TotalFootprint()
 	clampRange := func(r core.Range, max int) TaskRange {
@@ -184,10 +234,14 @@ func PlanSpMSpM(a, b *Matrix, cfg PlanConfig) (*Plan, error) {
 // Execute runs a plan against its operands with the range-restricted
 // reference kernel and returns the product — useful for verifying that a
 // plan covers the full multiplication. The result is identical to
-// Multiply(a, b).
+// Multiply(a, b). Operands other than the ones PlanSpMSpM planned — a
+// different shape or sparsity pattern — are an error.
 func (p *Plan) Execute(a, b *Matrix) (*Matrix, error) {
 	if a.Cols != b.Rows {
 		return nil, fmt.Errorf("drt: cannot multiply %dx%d by %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
+	}
+	if err := p.checkOperands(sparseShape(a), sparseShape(b), false); err != nil {
+		return nil, err
 	}
 	out := tensor.NewCOO(a.Rows, b.Cols)
 	spa := kernels.NewSPA(b.Cols)

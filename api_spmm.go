@@ -68,7 +68,7 @@ func PlanSpMM(a *Matrix, bCols int, cfg PlanConfig) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{}
+	p := &Plan{a: sparseShape(a), b: operandShape{rows: a.Cols, cols: bCols}, dense: true}
 	p.Stats.OnePassABytes = ga.TotalFootprint()
 	p.Stats.OnePassBBytes = int64(a.Cols) * int64(bCols) * tensor.ValueBytes
 	clampRange := func(r core.Range, max int) TaskRange {
@@ -110,10 +110,14 @@ func PlanSpMM(a *Matrix, bCols int, cfg PlanConfig) (*Plan, error) {
 }
 
 // ExecuteSpMM runs an SpMM plan against its operands and returns the dense
-// product, identical to MultiplySpMM(a, b).
+// product, identical to MultiplySpMM(a, b). Operands other than the ones
+// PlanSpMM planned are an error, as for Execute.
 func (p *Plan) ExecuteSpMM(a *Matrix, b *DenseMatrix) (*DenseMatrix, error) {
 	if a.Cols != b.Rows {
 		return nil, fmt.Errorf("drt: cannot multiply %dx%d by dense %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
+	}
+	if err := p.checkOperands(sparseShape(a), operandShape{rows: b.Rows, cols: b.Cols}, true); err != nil {
+		return nil, err
 	}
 	z := tensor.NewDense(a.Rows, b.Cols)
 	for _, t := range p.Tasks {

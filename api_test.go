@@ -71,6 +71,48 @@ func TestPlanCoversMultiplication(t *testing.T) {
 	}
 }
 
+// TestPlanExecuteRejectsOtherOperands pins that a plan executes only on
+// the operands it was built for. Larger operands would leave rows and
+// columns outside the planned extents unvisited, and a different sparsity
+// pattern would hit tasks the plan dropped as empty; both were once
+// silently wrong products and are now errors. Same pattern with other
+// values is still the planned product.
+func TestPlanExecuteRejectsOtherOperands(t *testing.T) {
+	a := gen.Uniform(64, 48, 300, 1)
+	b := gen.Uniform(48, 56, 300, 2)
+	plan, err := drt.PlanSpMSpM(a, b, drt.PlanConfig{MicroTile: 8, BudgetA: 1 << 10, BudgetB: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	taller := gen.Uniform(96, 48, 450, 1)    // rows past the planned I extent
+	wider := gen.Uniform(48, 80, 450, 2)     // columns past the planned J extent
+	repattern := gen.Uniform(64, 48, 300, 3) // same shape, other points
+	for name, ops := range map[string][2]*drt.Matrix{
+		"taller A": {taller, b}, "wider B": {a, wider}, "other A pattern": {repattern, b},
+	} {
+		if got, err := plan.Execute(ops[0], ops[1]); err == nil {
+			want, _, _ := drt.Multiply(ops[0], ops[1])
+			t.Fatalf("%s: executed without error (product equal to Multiply: %v)", name, got.EqualApprox(want, 1e-9))
+		}
+	}
+	if _, err := plan.ExecuteSpMM(a, drt.NewDenseMatrix(48, 56)); err == nil {
+		t.Fatal("SpMSpM plan executed as SpMM")
+	}
+
+	scaled := *a
+	scaled.Val = make([]float64, len(a.Val))
+	for p, v := range a.Val {
+		scaled.Val[p] = 3 * v
+	}
+	got, err := plan.Execute(&scaled, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _, _ := drt.Multiply(&scaled, b); !got.EqualApprox(want, 1e-9) {
+		t.Fatal("same-pattern operands: plan execution differs from Multiply")
+	}
+}
+
 func TestPlanRespectsBudgets(t *testing.T) {
 	a := gen.RMAT(256, 2000, 0.57, 0.19, 0.19, 3)
 	plan, err := drt.PlanSpMSpM(a, a, drt.PlanConfig{MicroTile: 8, BudgetA: 1 << 10, BudgetB: 4 << 10})

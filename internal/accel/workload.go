@@ -7,6 +7,7 @@ package accel
 
 import (
 	"fmt"
+	"sync"
 
 	"drt/internal/core"
 	"drt/internal/kernels"
@@ -100,6 +101,12 @@ type Workload struct {
 
 	Z     *tensor.CSR
 	MACCs int64
+
+	// bIndex is B's RowIndex, built once on first use: finishWorkload
+	// builds it as part of set-up, Retile shares it, and the first
+	// Restricted call builds it for a Workload assembled field by field.
+	bIndexOnce sync.Once
+	bIndex     *tensor.RowIndex
 }
 
 // NewWorkload pre-processes one SpMSpM instance with the given micro tile
@@ -195,6 +202,7 @@ func finishWorkload(w *Workload, cfg WorkloadConfig) (*Workload, error) {
 	w.GZ = tiling.NewSummaryGrid(z, mt, mt, cfg.Format, cfg.Grid)
 	w.Z = z
 	w.MACCs = st.MACCs
+	w.bRowIndex()
 	return w, nil
 }
 
@@ -239,6 +247,7 @@ func (w *Workload) Retile(cfg WorkloadConfig) (*Workload, error) {
 	}
 	nw.GA, nw.GB = nw.operandGrids(mt, cfg)
 	nw.GZ = tiling.NewSummaryGrid(w.Z, mt, mt, cfg.Format, cfg.Grid)
+	nw.bIndexOnce.Do(func() { nw.bIndex = w.bRowIndex() })
 	return nw, nil
 }
 
@@ -279,10 +288,23 @@ func (w *Workload) BRowNNZ(k int) int64 {
 // operand width — the engines' compute kernel, byte-identical across
 // widths (the index type never enters the arithmetic).
 func (w *Workload) Restricted(iR, kR, jR kernels.Range, spa *kernels.SPA) kernels.TaskResult {
+	bx := w.bRowIndex()
 	if w.A32 != nil {
-		return kernels.RestrictedGustavson(w.A32, w.B32, iR, kR, jR, spa)
+		return kernels.RestrictedGustavson(w.A32, w.B32, bx, iR, kR, jR, spa)
 	}
-	return kernels.RestrictedGustavson(w.A, w.B, iR, kR, jR, spa)
+	return kernels.RestrictedGustavson(w.A, w.B, bx, iR, kR, jR, spa)
+}
+
+// bRowIndex returns B's RowIndex, building it on first use.
+func (w *Workload) bRowIndex() *tensor.RowIndex {
+	w.bIndexOnce.Do(func() {
+		if w.B32 != nil {
+			w.bIndex = tensor.NewRowIndex(w.B32)
+		} else {
+			w.bIndex = tensor.NewRowIndex(w.B)
+		}
+	})
+	return w.bIndex
 }
 
 // SuggestMicroTile picks the footprint-minimizing micro-tile edge for A

@@ -157,13 +157,13 @@ func checkPartition(t *testing.T, a, b *tensor.CSR, tile int, cfg *Config, capA,
 	if err != nil {
 		t.Fatal(err)
 	}
-	spa := kernels.NewSPA(b.Cols)
+	spa, bx := kernels.NewSPA(b.Cols), tensor.NewRowIndex(b)
 	var sum int64
 	for _, task := range tasks {
 		iR := kernels.Range{Lo: task.Ranges[0].Lo * tile, Hi: task.Ranges[0].Hi * tile}
 		jR := kernels.Range{Lo: task.Ranges[1].Lo * tile, Hi: task.Ranges[1].Hi * tile}
 		kR := kernels.Range{Lo: task.Ranges[2].Lo * tile, Hi: task.Ranges[2].Hi * tile}
-		r := kernels.RestrictedGustavson(a, b, iR, kR, jR, spa)
+		r := kernels.RestrictedGustavson(a, b, bx, iR, kR, jR, spa)
 		if task.Empty && r.MACCs != 0 {
 			t.Fatalf("task flagged empty performed %d MACCs", r.MACCs)
 		}
@@ -306,7 +306,7 @@ func TestHierarchicalWindow(t *testing.T) {
 					t.Fatalf("inner task range %+v escapes outer window %+v", it.Ranges[d], ot.Ranges[d])
 				}
 			}
-			r := kernels.RestrictedGustavson(a, b,
+			r := kernels.RestrictedGustavson(a, b, nil,
 				kernels.Range{Lo: it.Ranges[0].Lo * tile, Hi: it.Ranges[0].Hi * tile},
 				kernels.Range{Lo: it.Ranges[2].Lo * tile, Hi: it.Ranges[2].Hi * tile},
 				kernels.Range{Lo: it.Ranges[1].Lo * tile, Hi: it.Ranges[1].Hi * tile}, spa)

@@ -86,7 +86,7 @@ func TestRestrictedPartition(t *testing.T) {
 		for i0 := 0; i0 < m; i0 += ti {
 			for k0 := 0; k0 < k; k0 += tk {
 				for j0 := 0; j0 < n; j0 += tj {
-					r := RestrictedGustavson(a, b,
+					r := RestrictedGustavson(a, b, nil,
 						Range{i0, i0 + ti}, Range{k0, k0 + tk}, Range{j0, j0 + tj}, spa)
 					sum += r.MACCs
 				}
@@ -102,7 +102,7 @@ func TestRestrictedFullRangeEqualsFull(t *testing.T) {
 	a := gen.RMAT(64, 300, 0.57, 0.19, 0.19, 9)
 	b := gen.RMAT(64, 300, 0.57, 0.19, 0.19, 10)
 	_, full := Gustavson(a, b)
-	r := RestrictedGustavson(a, b, Range{0, 64}, Range{0, 64}, Range{0, 64}, nil)
+	r := RestrictedGustavson(a, b, nil, Range{0, 64}, Range{0, 64}, Range{0, 64}, nil)
 	if r.MACCs != full.MACCs {
 		t.Fatalf("restricted full-range MACCs %d != %d", r.MACCs, full.MACCs)
 	}

@@ -116,9 +116,9 @@ func TestRestrictedAllocs(t *testing.T) {
 	b := gen.Uniform(64, 64, 900, 32)
 	spa := NewSPA(b.Cols)
 	iR, kR, jR := Range{0, a.Rows}, Range{0, a.Cols}, Range{0, b.Cols}
-	RestrictedGustavson(a, b, iR, kR, jR, spa) // warm the scratch
+	RestrictedGustavson(a, b, nil, iR, kR, jR, spa) // warm the scratch
 	allocs := testing.AllocsPerRun(20, func() {
-		RestrictedGustavson(a, b, iR, kR, jR, spa)
+		RestrictedGustavson(a, b, nil, iR, kR, jR, spa)
 	})
 	if allocs != 0 {
 		t.Fatalf("RestrictedGustavson allocates %.1f objects per call with warm scratch, want 0", allocs)

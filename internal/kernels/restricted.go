@@ -36,41 +36,56 @@ type TaskResult struct {
 	Rows      []RowWork
 }
 
-// RestrictedGustavson computes the partial product of A·B limited to the
+// RestrictedGustavson computes the effectual work of A·B limited to the
 // task ranges i∈iR, k∈kR, j∈jR (Equation 2 of the paper), returning exact
 // per-task MACC and partial-output counts. The union over a task partition
 // of the iteration space equals the full kernel, which the simulators rely
 // on for exact traffic accounting.
 //
-// The spa scratch must have width ≥ b.Cols and is reused across calls;
-// pass nil to allocate a fresh one. The returned Rows slice aliases the
-// scratch and is valid only until the next call with the same spa — the
-// simulator task loops consume it before issuing the next task, which
-// keeps the whole stream allocation-free (pinned by TestRestrictedAllocs).
-func RestrictedGustavson[T tensor.Ix](a, b *tensor.Mat[T], iR, kR, jR Range, spa *SPA) TaskResult {
+// The simulators price a task from integer counts only, so the kernel
+// never touches a value: MACCs and scanned A elements are sums of window
+// lengths, and a row's partial outputs are its distinct j, counted with
+// the SPA's generation-stamped marker. A touched column counts even when
+// its products would cancel, as in the accumulating kernel this replaces.
+//
+// bx, when non-nil, is the RowIndex of b and serves the B-row window
+// lookups; nil falls back to Mat.RowRange. The spa scratch must have width
+// ≥ b.Cols and is reused across calls; pass nil to allocate a fresh one.
+// The returned Rows slice aliases the scratch and is valid only until the
+// next call with the same spa — the simulator task loops consume it before
+// issuing the next task, which keeps the whole stream allocation-free
+// (pinned by TestRestrictedAllocs). The spa also keeps the B-row windows
+// of consecutive calls on the same b, bx, kR and jR (the task stream of an
+// I-innermost loop order), so b must not be modified in place between
+// calls sharing a spa.
+func RestrictedGustavson[T tensor.Ix](a, b *tensor.Mat[T], bx *tensor.RowIndex, iR, kR, jR Range, spa *SPA) TaskResult {
 	if spa == nil {
 		spa = NewSPA(b.Cols)
 	}
 	var res TaskResult
 	rows := spa.rows[:0]
-	// Memoize b.RowRange per contracted coordinate for the duration of this
-	// task: every row of the i-range probes its k columns against the same
-	// j-window, and within a tile the rows hit largely the same columns, so
-	// the second and later probes of a k become one scratch load instead of
-	// two binary searches. The generation stamp makes entries from earlier
-	// tasks (any operands, any windows) unreadable without re-zeroing.
+	// Memoize the B-row window per contracted coordinate: every row of the
+	// i-range probes its k columns against the same j-window, and within a
+	// tile the rows hit largely the same columns, so the second and later
+	// probes of a k become one scratch load instead of an index lookup.
+	// The windows stay valid while b and the (k, j) windows do, which
+	// carries them across the tasks of one (j, k) tile column. Otherwise
+	// the generation stamp makes entries from earlier tasks (any operands,
+	// any windows) unreadable without re-zeroing.
 	kw := kR.Hi - kR.Lo
 	if kw < 0 {
 		kw = 0
 	}
-	spa.kCur++
-	if cap(spa.kGen) < kw {
-		spa.kGen = make([]int, kw)
-		spa.kLo = make([]int, kw)
-		spa.kHi = make([]int, kw)
+	if kR != spa.memoK || jR != spa.memoJ || bx != spa.memoBX || any(b) != spa.memoB {
+		spa.memoK, spa.memoJ, spa.memoBX, spa.memoB = kR, jR, bx, b
+		spa.kCur++
+	}
+	if cap(spa.kMemo) < kw {
+		spa.kMemo = make([]bWindow, kw)
 		spa.kCur = 1
 	}
-	kGen, kLo, kHi := spa.kGen[:kw], spa.kLo[:kw], spa.kHi[:kw]
+	memo, kCur := spa.kMemo[:kw], spa.kCur
+	mark := spa.gen
 	for i := iR.Lo; i < iR.Hi && i < a.Rows; i++ {
 		if i < 0 {
 			continue
@@ -79,25 +94,36 @@ func RestrictedGustavson[T tensor.Ix](a, b *tensor.Mat[T], iR, kR, jR Range, spa
 		if lo == hi {
 			continue
 		}
-		spa.Reset()
+		spa.cur++
+		cur := spa.cur
+		n := 0
 		var rowMACCs int64
 		for p := lo; p < hi; p++ {
 			k := int(a.Idx[p])
 			var blo, bhi int
-			if off := k - kR.Lo; kGen[off] == spa.kCur {
-				blo, bhi = kLo[off], kHi[off]
+			if m := &memo[k-kR.Lo]; m.gen == kCur {
+				blo, bhi = m.lo, m.hi
 			} else {
-				blo, bhi = b.RowRange(k, jR.Lo, jR.Hi)
-				kGen[off], kLo[off], kHi[off] = spa.kCur, blo, bhi
+				blo, bhi = b.IndexedRowRange(bx, k, jR.Lo, jR.Hi)
+				*m = bWindow{gen: kCur, lo: blo, hi: bhi}
 			}
 			rowMACCs += int64(bhi - blo)
+			if hi-lo == 1 {
+				n = bhi - blo // a single fiber's columns are distinct
+				break
+			}
 			for q := blo; q < bhi; q++ {
-				spa.Add(int(b.Idx[q]), a.Val[p]*b.Val[q])
+				// An unconditional store lets the compare compile branch-free.
+				j := b.Idx[q]
+				if mark[j] != cur {
+					n++
+				}
+				mark[j] = cur
 			}
 		}
 		res.MACCs += rowMACCs
 		res.ScannedA += int64(hi - lo)
-		if n := spa.Touched(); n > 0 || rowMACCs > 0 {
+		if rowMACCs > 0 {
 			res.OutputNNZ += int64(n)
 			rows = append(rows, RowWork{Row: i, MACCs: rowMACCs, AElems: hi - lo, OutNNZ: n})
 		}
@@ -125,7 +151,9 @@ func (r *TaskResult) Record(rec obs.Recorder) {
 // reused across tasks to avoid re-zeroing. Columns are accumulated fiber
 // by fiber, each fiber sorted, so the touched-column list is a sequence of
 // sorted runs; emission merges the runs instead of comparison-sorting,
-// keeping the hot loops free of per-row allocations.
+// keeping the hot loops free of per-row allocations. The count-only
+// kernels (RestrictedGustavson, the reference product's symbolic pass)
+// use the generation stamps alone as a distinct-column marker.
 type SPA struct {
 	acc  []float64
 	gen  []int
@@ -142,11 +170,21 @@ type SPA struct {
 	// rows is the RestrictedGustavson per-task RowWork scratch, pooled
 	// here so both engine call sites share one reusable buffer.
 	rows []RowWork
-	// kLo/kHi memoize b.RowRange per contracted coordinate within one
-	// RestrictedGustavson call; kGen generation-stamps entries (kCur is
-	// bumped per call) so stale ranges are never read across tasks.
-	kLo, kHi, kGen []int
-	kCur           int
+	// kMemo memoizes the B-row window per contracted coordinate for the
+	// RestrictedGustavson calls on the same B operand (memoB), index
+	// (memoBX) and contracted and output windows (memoK, memoJ); entries
+	// are generation-stamped (kCur is bumped when any of those changes) so
+	// stale windows are never read.
+	kMemo        []bWindow
+	kCur         int
+	memoK, memoJ Range
+	memoBX       *tensor.RowIndex
+	memoB        any
+}
+
+// bWindow is one memoized B-row window [lo, hi) and its generation.
+type bWindow struct {
+	gen, lo, hi int
 }
 
 // NewSPA returns an accumulator covering column coordinates [0, width).
@@ -172,6 +210,23 @@ func (s *SPA) Add(j int, v float64) {
 		s.cols = append(s.cols, j)
 	}
 	s.acc[j] += v
+}
+
+// reserve grows the scratch so a row of up to n distinct columns gathered
+// from up to fibers sorted fibers accumulates and drains its sorted
+// columns without allocating.
+func (s *SPA) reserve(n, fibers int) {
+	s.cols, s.buf = reserveInts(s.cols, n), reserveInts(s.buf, n)
+	s.runs = reserveInts(s.runs, fibers)
+	s.bounds, s.bounds2 = reserveInts(s.bounds, fibers+2), reserveInts(s.bounds2, fibers+2)
+}
+
+// reserveInts returns s, or an empty slice of capacity n when s is smaller.
+func reserveInts(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, 0, n)
+	}
+	return s
 }
 
 // Value returns the accumulated value of column j this epoch (0 when the

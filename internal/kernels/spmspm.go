@@ -8,7 +8,6 @@ package kernels
 
 import (
 	"fmt"
-	"sync"
 
 	"drt/internal/par"
 	"drt/internal/tensor"
@@ -25,100 +24,176 @@ type Stats struct {
 // implementation: the simulators validate their output sparsity against it,
 // mirroring the paper's validation against Intel MKL.
 func Gustavson[T tensor.Ix](a, b *tensor.Mat[T]) (*tensor.CSR, Stats) {
+	return gustavson(a, b, 1)
+}
+
+// GustavsonParallel is Gustavson over row blocks mapped across the worker
+// pool, each worker with its own SPA scratch. Every block writes its rows
+// in place into the one presized result, and each row's accumulation order
+// is the sequential kernel's, so the result — values included — is
+// bit-identical to Gustavson. workers < 1 selects one per CPU.
+func GustavsonParallel[T tensor.Ix](a, b *tensor.Mat[T], workers int) (*tensor.CSR, Stats) {
+	return gustavson(a, b, par.Workers(workers))
+}
+
+// gustavson is the two-pass product behind both entry points. The
+// symbolic pass counts each row's distinct columns with the SPA marker —
+// an upper bound on the row's stored non-zeros, exact unless values
+// cancel — and a prefix sum turns the counts into row offsets, so Idx and
+// Val are allocated once at their final size. The numeric pass then
+// accumulates each row and writes it in place at its offset. Rows whose
+// values cancel leave a gap after their last point, closed afterwards by
+// sliding the later rows down. The sequential kernel is one block; with
+// more workers the row space is over-decomposed into blocks so an unlucky
+// dense block doesn't serialize the tail.
+func gustavson[T tensor.Ix](a, b *tensor.Mat[T], workers int) (*tensor.CSR, Stats) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("kernels: spmspm shape mismatch %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
+	nb := 1
+	if workers > 1 && a.Rows >= 2 {
+		nb = min(workers*4, a.Rows)
+	} else {
+		workers = 1
+	}
 	z := &tensor.CSR{Rows: a.Rows, Cols: b.Cols, Ptr: make([]int, a.Rows+1)}
-	st := gustavsonRows(a, b, 0, a.Rows, NewSPA(b.Cols), z)
+	// Per-worker SPA scratch, reused across blocks and passes: at most
+	// workers are ever in flight, so the free list never blocks.
+	free := make(chan *SPA, workers)
+	getSPA := func() *SPA {
+		select {
+		case spa := <-free:
+			return spa
+		default:
+			return NewSPA(b.Cols)
+		}
+	}
+	rowsOf := func(bi int) (int, int) { return bi * a.Rows / nb, (bi + 1) * a.Rows / nb }
+	blocks, _ := par.Map(workers, nb, func(bi int) (symbolic, error) {
+		spa := getSPA()
+		r0, r1 := rowsOf(bi)
+		sym := symbolicRows(a, b, r0, r1, spa, z.Ptr[r0+1:r1+1])
+		free <- spa
+		return sym, nil
+	})
+	var st Stats
+	var widest symbolic
+	for _, blk := range blocks {
+		st.MACCs += blk.maccs
+		widest.outCols = max(widest.outCols, blk.outCols)
+		widest.fibers = max(widest.fibers, blk.fibers)
+	}
+	for i := 0; i < a.Rows; i++ {
+		z.Ptr[i+1] += z.Ptr[i]
+	}
+	nnz := z.Ptr[a.Rows]
+	z.Idx = make([]int, nnz)
+	z.Val = make([]float64, nnz)
+	cancelled, _ := par.Map(workers, nb, func(bi int) (bool, error) {
+		spa := getSPA()
+		spa.reserve(widest.outCols, widest.fibers)
+		r0, r1 := rowsOf(bi)
+		c := numericRows(a, b, r0, r1, spa, z)
+		free <- spa
+		return c, nil
+	})
+	for _, c := range cancelled {
+		if c {
+			compactRows(z)
+			break
+		}
+	}
 	st.OutputNNZ = int64(z.NNZ())
 	return z, st
 }
 
-// gustavsonRows computes output rows [r0, r1) of A·B, appending into z,
-// whose Ptr slice must have length (r1-r0)+1; z.Ptr[i-r0+1] receives the
-// running nnz. Per-row emission uses the SPA's sorted-run merge, so the
-// inner loops are free of comparison sorts and per-row allocations.
-func gustavsonRows[T tensor.Ix](a, b *tensor.Mat[T], r0, r1 int, spa *SPA, z *tensor.CSR) Stats {
-	var st Stats
+// symbolic is one block's symbolic-pass summary: its MACCs and the widest
+// row it holds, in distinct output columns and in A fibers.
+type symbolic struct {
+	maccs           int64
+	outCols, fibers int
+}
+
+// symbolicRows counts the distinct output columns of rows [r0, r1) of A·B
+// into cnt[i-r0] without touching a value.
+func symbolicRows[T tensor.Ix](a, b *tensor.Mat[T], r0, r1 int, spa *SPA, cnt []int) symbolic {
+	var sym symbolic
+	mark := spa.gen
+	for i := r0; i < r1; i++ {
+		spa.cur++
+		cur := spa.cur
+		n := 0
+		ks := a.Idx[a.Ptr[i]:a.Ptr[i+1]]
+		for _, k := range ks {
+			js := b.Idx[b.Ptr[k]:b.Ptr[k+1]]
+			sym.maccs += int64(len(js))
+			for _, j := range js {
+				if mark[j] != cur {
+					mark[j] = cur
+					n++
+				}
+			}
+		}
+		cnt[i-r0] = n
+		sym.outCols = max(sym.outCols, n)
+		sym.fibers = max(sym.fibers, len(ks))
+	}
+	return sym
+}
+
+// numericRows accumulates rows [r0, r1) of A·B and writes each at its
+// presized offset z.Ptr[i]. Per-row emission uses the SPA's sorted-run
+// merge, so the inner loops are free of comparison sorts and, with the
+// scratch reserved, of allocations. A numerically cancelled point is not
+// stored; the row then ends before z.Ptr[i+1] and the gap is marked with
+// a column of -1 for compactRows, which numericRows reports by returning
+// true.
+func numericRows[T tensor.Ix](a, b *tensor.Mat[T], r0, r1 int, spa *SPA, z *tensor.CSR) (cancelled bool) {
 	for i := r0; i < r1; i++ {
 		spa.Reset()
 		fa := a.Row(i)
 		for p, k := range fa.Coords {
 			av := fa.Vals[p]
 			fb := b.Row(int(k))
-			st.MACCs += int64(fb.Len())
 			for q, j := range fb.Coords {
 				spa.Add(int(j), av*fb.Vals[q])
 			}
 		}
+		w, end := z.Ptr[i], z.Ptr[i+1]
 		for _, j := range spa.SortedCols() {
 			if spa.acc[j] == 0 {
 				continue // numerically cancelled
 			}
-			z.Idx = append(z.Idx, j)
-			z.Val = append(z.Val, spa.acc[j])
+			z.Idx[w] = j
+			z.Val[w] = spa.acc[j]
+			w++
 		}
-		z.Ptr[i-r0+1] = len(z.Idx)
+		if w < end {
+			z.Idx[w] = -1
+			cancelled = true
+		}
 	}
-	return st
+	return cancelled
 }
 
-// GustavsonParallel is Gustavson over row blocks mapped across the worker
-// pool. Each worker keeps its own SPA scratch and emits a private partial
-// CSR; the blocks are stitched back in row order, so the result — values
-// included — is bit-identical to the sequential kernel (each row's
-// accumulation order is unchanged). workers < 1 selects one per CPU;
-// workers == 1 falls through to the sequential path.
-func GustavsonParallel[T tensor.Ix](a, b *tensor.Mat[T], workers int) (*tensor.CSR, Stats) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("kernels: spmspm shape mismatch %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	workers = par.Workers(workers)
-	if workers <= 1 || a.Rows < 2 {
-		return Gustavson(a, b)
-	}
-	// Over-decompose so an unlucky dense block doesn't serialize the tail.
-	nb := workers * 4
-	if nb > a.Rows {
-		nb = a.Rows
-	}
-	type block struct {
-		z     *tensor.CSR
-		maccs int64
-	}
-	var pool sync.Pool // per-worker *SPA, reused across blocks
-	blocks, _ := par.Map(workers, nb, func(bi int) (block, error) {
-		r0, r1 := bi*a.Rows/nb, (bi+1)*a.Rows/nb
-		spa, _ := pool.Get().(*SPA)
-		if spa == nil {
-			spa = NewSPA(b.Cols)
+// compactRows closes the gaps numericRows leaves after rows whose values
+// cancelled, sliding every later row down in one pass and trimming Idx
+// and Val to the stored points.
+func compactRows(z *tensor.CSR) {
+	w, s := 0, 0
+	for i := 0; i < z.Rows; i++ {
+		e := z.Ptr[i+1]
+		n := s
+		for n < e && z.Idx[n] >= 0 {
+			n++
 		}
-		bz := &tensor.CSR{Rows: r1 - r0, Cols: b.Cols, Ptr: make([]int, r1-r0+1)}
-		st := gustavsonRows(a, b, r0, r1, spa, bz)
-		pool.Put(spa)
-		return block{z: bz, maccs: st.MACCs}, nil
-	})
-	var st Stats
-	z := &tensor.CSR{Rows: a.Rows, Cols: b.Cols, Ptr: make([]int, a.Rows+1)}
-	total := 0
-	for _, blk := range blocks {
-		total += len(blk.z.Idx)
+		copy(z.Idx[w:], z.Idx[s:n])
+		copy(z.Val[w:], z.Val[s:n])
+		w += n - s
+		s = e
+		z.Ptr[i+1] = w
 	}
-	z.Idx = make([]int, 0, total)
-	z.Val = make([]float64, 0, total)
-	row := 0
-	for _, blk := range blocks {
-		off := len(z.Idx)
-		z.Idx = append(z.Idx, blk.z.Idx...)
-		z.Val = append(z.Val, blk.z.Val...)
-		for r := 1; r < len(blk.z.Ptr); r++ {
-			z.Ptr[row+r] = off + blk.z.Ptr[r]
-		}
-		row += blk.z.Rows
-		st.MACCs += blk.maccs
-	}
-	st.OutputNNZ = int64(z.NNZ())
-	return z, st
+	z.Idx, z.Val = z.Idx[:w], z.Val[:w]
 }
 
 // InnerProduct computes Z = A·B with the output-stationary dataflow: a dot
